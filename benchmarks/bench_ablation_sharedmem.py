@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.net import deserialize_map, serialize_map
-from repro.sharedmem import SharedMapStore
+from repro.sharedmem import ShardedMapStore
 from tests.test_net_serialization_transport import make_map
 
 SIZES = (2, 8, 24)
@@ -21,7 +21,7 @@ SIZES = (2, 8, 24)
 def test_ablation_sharedmem_publish(n_keyframes, benchmark):
     update = make_map(n_keyframes=n_keyframes, n_points_per_kf=40,
                       seed=n_keyframes)
-    store = SharedMapStore(capacity=256 * 1024 * 1024)
+    store = ShardedMapStore(n_shards=1, capacity=256 * 1024 * 1024)
 
     def publish():
         store.publish_map(update.keyframes.values(), update.mappoints.values())
@@ -47,7 +47,7 @@ def test_ablation_sharedmem_wins_at_every_size(benchmark):
           f"{'ratio':>7}")
     for n_kf in SIZES:
         update = make_map(n_keyframes=n_kf, n_points_per_kf=40, seed=n_kf)
-        store = SharedMapStore(capacity=256 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=256 * 1024 * 1024)
         t0 = time.perf_counter()
         store.publish_map(update.keyframes.values(), update.mappoints.values())
         shm = time.perf_counter() - t0
@@ -60,7 +60,7 @@ def test_ablation_sharedmem_wins_at_every_size(benchmark):
 
     # And reading back from the store is cheap (zero-copy views).
     update = make_map(n_keyframes=8, n_points_per_kf=40, seed=8)
-    store = SharedMapStore(capacity=256 * 1024 * 1024)
+    store = ShardedMapStore(n_shards=1, capacity=256 * 1024 * 1024)
     store.publish_map(update.keyframes.values(), update.mappoints.values())
     t0 = time.perf_counter()
     kfs = list(store.iter_keyframes())

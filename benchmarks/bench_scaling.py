@@ -6,9 +6,9 @@ configuration and once with the **tuned** scale-out configuration
 (16-shard map store, 8 ms cross-client micro-batching window, bounded
 per-client admission queues) — and reports frame p50/p95/p99, shed
 rate and map-lock wait statistics for each.  A separate thread storm
-hammers the *real* ``SharedMapStore`` vs ``ShardedMapStore`` with
-concurrent readers and publishers to measure wall-clock store-op
-latency and per-lock wait totals.
+hammers a one-shard (single-lock) vs a 16-shard real
+``ShardedMapStore`` with concurrent readers and publishers to measure
+wall-clock store-op latency and per-lock wait totals.
 
 The client/GPU pipeline runs on the deterministic :class:`SimClock`
 (identical numbers on every machine), so its percentiles are safe to
@@ -53,7 +53,7 @@ from repro.core.orchestrator import ServingOrchestrator, ServingWorkloadConfig
 from repro.geometry import SE3
 from repro.gpu.scheduler import BatchingConfig, GpuScheduler
 from repro.net.simclock import SimClock
-from repro.sharedmem import ShardedMapStore, SharedMapStore, spatial_shard
+from repro.sharedmem import ShardedMapStore, spatial_shard
 from repro.slam.keyframe import KeyFrame
 from repro.slam.mappoint import MapPoint
 
@@ -276,12 +276,6 @@ def _make_entities(n_keyframes: int, n_features: int = 24, spread: float = 80.0)
     return kfs, points
 
 
-def _store_locks(store):
-    if isinstance(store, ShardedMapStore):
-        return [shard.lock for shard in store.shards]
-    return [store.lock]
-
-
 def run_store_storm(store, kfs, points, seconds: float, n_writers: int,
                     n_readers: int) -> Dict[str, object]:
     """Concurrent real-thread publish/read storm against one store."""
@@ -318,7 +312,7 @@ def run_store_storm(store, kfs, points, seconds: float, n_writers: int,
     stop.set()
     for t in threads:
         t.join(timeout=10)
-    locks = _store_locks(store)
+    locks = [shard.lock for shard in store.shards]
     reads = [s for chunk in read_samples for s in chunk]
     writes = [s for chunk in write_samples for s in chunk]
 
@@ -354,7 +348,9 @@ def storm_section(smoke: bool) -> Dict[str, object]:
           f"{seconds:.1f}s each):")
     results = {}
     for label, store in (
-        ("unsharded", SharedMapStore(capacity=64 * 1024 * 1024)),
+        ("unsharded", ShardedMapStore(n_shards=1,
+                                      capacity=64 * 1024 * 1024,
+                                      region_size=REGION_M)),
         ("sharded", ShardedMapStore(n_shards=N_SHARDS,
                                     capacity=64 * 1024 * 1024,
                                     region_size=REGION_M)),

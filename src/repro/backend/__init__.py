@@ -2,11 +2,10 @@
 
 ``repro.backend`` owns two related concerns:
 
-* the **registry** of kernel tiers (``scalar`` / ``vectorized`` /
-  ``gpu``) that every kernel entry point validates against, replacing
-  the per-module ``_BACKENDS`` tuples that existed before; and
+* the fixed set of kernel tiers (``scalar`` / ``vectorized`` /
+  ``gpu``) that every kernel entry point validates against; and
 * the **dispatch layer** that makes ``backend="gpu"`` real: xp-style
-  array-module resolution (cupy/torch auto-detection with a capability
+  array-module resolution (cupy auto-detection with a capability
   probe), host<->device transfer helpers with accounting, keyed staging
   so micro-batches pay one upload, and measured kernel wall-time.
 
@@ -19,41 +18,29 @@ from .dispatch import (
     DeviceStager,
     KernelTiming,
     TransferStats,
-    as_numpy,
-    available_device_modules,
-    clear_detection_cache,
     get_array_module,
     host_array_module,
     probe_array_module,
-    register_device_builder,
     set_array_module_override,
     use_array_module,
 )
 from .registry import (
-    BackendSpec,
+    BACKENDS,
     ResolvedBackend,
-    known_backends,
-    register_backend,
     resolve_backend,
     validate_backend,
 )
 
 __all__ = [
     "ArrayModule",
-    "BackendSpec",
+    "BACKENDS",
     "DeviceStager",
     "KernelTiming",
     "ResolvedBackend",
     "TransferStats",
-    "as_numpy",
-    "available_device_modules",
-    "clear_detection_cache",
     "get_array_module",
     "host_array_module",
-    "known_backends",
     "probe_array_module",
-    "register_backend",
-    "register_device_builder",
     "resolve_backend",
     "set_array_module_override",
     "use_array_module",

@@ -2,16 +2,15 @@
 
 The vectorized kernels in this repo are written against the numpy API;
 on a machine with a CUDA device the same formulations run on the GPU by
-substituting the array namespace (cupy is a drop-in, torch via a thin
-adapter).  This module owns that substitution:
+substituting the array namespace (cupy is a drop-in).  This module owns
+that substitution:
 
 * :class:`ArrayModule` — an array namespace plus the non-portable bits
   normalized (dtype coercion, contiguity, host<->device transfers with
   byte/time accounting, elementwise popcount, fancy-gather, measured
   kernel timing);
-* :func:`get_array_module` — capability-probed auto-detection
-  (``cupy`` then ``torch``), graceful numpy fallback when no module or
-  no device exists;
+* :func:`get_array_module` — capability-probed auto-detection of
+  ``cupy``, graceful numpy fallback when no module or no device exists;
 * :class:`DeviceStager` — keyed upload cache so a micro-batch of kernel
   dispatches pays host->device staging once, not once per dispatch.
 
@@ -36,7 +35,6 @@ from ..obs import get_logger
 _log = get_logger("backend")
 
 _POPCOUNT_U8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_HAS_NP_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 @dataclass
@@ -70,7 +68,7 @@ class ArrayModule:
     """An array namespace with transfers, popcount and timing normalized.
 
     ``xp`` is the numpy-compatible namespace (numpy itself, cupy, or
-    the torch adapter).  ``is_device`` is the dispatch predicate: the
+    the fake test namespace).  ``is_device`` is the dispatch predicate: the
     routed kernels only take their device path when it is true, so the
     host-numpy instance is a pure passthrough.
     """
@@ -86,8 +84,6 @@ class ArrayModule:
         to_host_fn: Optional[Callable] = None,
         synchronize_fn: Optional[Callable] = None,
         gather_fn: Optional[Callable] = None,
-        popcount_fn: Optional[Callable] = None,
-        astype_fn: Optional[Callable] = None,
     ) -> None:
         self.name = name
         self.xp = xp
@@ -97,15 +93,13 @@ class ArrayModule:
         self._to_host = to_host_fn or np.asarray
         self._synchronize = synchronize_fn or (lambda: None)
         self._gather = gather_fn or (lambda a, idx: a[idx])
-        self._popcount = popcount_fn
-        self._astype = astype_fn or (lambda a, dt: a.astype(dt))
         self.transfers = TransferStats()
         self.kernel_timings: List[KernelTiming] = []
         self._lut_dev = None
         # Hamming word layout: uint64 views shrink the popcount input 8x
         # but need a native popcount for that dtype.
         self.hamming_dtype = (
-            np.uint64 if self._supports_u64_popcount() else np.uint8
+            np.uint64 if hasattr(xp, "bitwise_count") else np.uint8
         )
 
     # ------------------------------------------------------------ transfers
@@ -144,29 +138,18 @@ class ArrayModule:
         self.kernel_timings.clear()
 
     # ----------------------------------------------------------- primitives
-    def astype(self, array, dtype):
-        """Dtype cast that works on every namespace (torch lacks .astype)."""
-        return self._astype(array, dtype)
-
     def gather(self, array, idx):
-        """``array[idx]`` row gather (torch needs long indices)."""
+        """``array[idx]`` row gather."""
         return self._gather(array, idx)
 
     def popcount(self, array):
         """Elementwise popcount of a uint8/uint64 device array."""
-        if self._popcount is not None:
-            return self._popcount(array)
         if hasattr(self.xp, "bitwise_count"):
             return self.xp.bitwise_count(array)
         # Byte-LUT gather fallback (uint8 input only).
         if self._lut_dev is None:
             self._lut_dev = self.to_device(_POPCOUNT_U8)
         return self._gather(self._lut_dev, array)
-
-    def _supports_u64_popcount(self) -> bool:
-        if self._popcount is not None:
-            return False  # custom popcounts declare uint8 layout
-        return hasattr(self.xp, "bitwise_count")
 
     # -------------------------------------------------------------- staging
     def stager(self) -> "DeviceStager":
@@ -233,18 +216,6 @@ class DeviceStager:
         self._cache.clear()
 
 
-def as_numpy(array) -> np.ndarray:
-    """Best-effort device->host conversion without an ArrayModule handle."""
-    if isinstance(array, np.ndarray):
-        return array
-    get = getattr(array, "get", None)          # cupy
-    if callable(get):
-        return np.asarray(get())
-    if hasattr(array, "detach"):               # torch
-        return array.detach().cpu().numpy()
-    return np.asarray(array)
-
-
 # --------------------------------------------------------------- detection
 _OVERRIDE: List[Optional[ArrayModule]] = []
 _DETECTED: Dict[str, Optional[ArrayModule]] = {}
@@ -303,42 +274,9 @@ def _build_cupy_module() -> Optional[ArrayModule]:
         return None
 
 
-def _build_torch_module() -> Optional[ArrayModule]:
-    try:
-        import torch
-
-        if not torch.cuda.is_available():
-            return None
-        from .torch_xp import TorchXp
-
-        xp = TorchXp(torch, device="cuda")
-        return ArrayModule(
-            "torch",
-            xp,
-            is_device=True,
-            device_label=torch.cuda.get_device_name(0),
-            to_device_fn=xp._to_device,
-            to_host_fn=xp._to_host,
-            synchronize_fn=torch.cuda.synchronize,
-            gather_fn=xp._gather,
-            popcount_fn=xp._popcount_u8,
-            astype_fn=xp._astype,
-        )
-    except Exception:
-        return None
-
-
 _DEVICE_BUILDERS: Dict[str, Callable[[], Optional[ArrayModule]]] = {
     "cupy": _build_cupy_module,
-    "torch": _build_torch_module,
 }
-
-
-def register_device_builder(
-    name: str, builder: Callable[[], Optional[ArrayModule]]
-) -> None:
-    """Register an additional device-module factory (test seam)."""
-    _DEVICE_BUILDERS[name] = builder
 
 
 def probe_array_module(am: ArrayModule) -> bool:
@@ -428,20 +366,13 @@ def probe_array_module(am: ArrayModule) -> bool:
         return False
 
 
-def available_device_modules() -> Tuple[str, ...]:
-    """Names of device builders that currently yield a working module."""
-    return tuple(
-        name for name in _DEVICE_BUILDERS if get_array_module(name) is not None
-    )
-
-
 def get_array_module(name: str = "auto") -> Optional[ArrayModule]:
     """Resolve an array module by name.
 
-    ``"numpy"`` always returns the host passthrough.  ``"cupy"`` /
-    ``"torch"`` return a probed device module or ``None``.  ``"auto"``
-    tries every registered device builder in order and falls back to
-    the host module (so it never returns ``None``).  A module set via
+    ``"numpy"`` always returns the host passthrough.  ``"cupy"``
+    returns a probed device module or ``None``.  ``"auto"`` tries every
+    device builder in order and falls back to the host module (so it
+    never returns ``None``).  A module set via
     :func:`set_array_module_override` short-circuits everything.
     """
     if _OVERRIDE:
@@ -470,8 +401,3 @@ def get_array_module(name: str = "auto") -> Optional[ArrayModule]:
                       name, am.device_label)
         _DETECTED[name] = am
     return _DETECTED[name]
-
-
-def clear_detection_cache() -> None:
-    """Forget probed modules (test seam for builder registration)."""
-    _DETECTED.clear()

@@ -1,6 +1,6 @@
 """Fake device array module: numpy wearing a GPU costume.
 
-CI hosts have no CUDA device, so the real cupy/torch paths can't run
+CI hosts have no CUDA device, so the real cupy path can't run
 there — but the *dispatch* machinery (device routing, staged uploads,
 transfer batching, measured kernel timing, fallback behaviour) is where
 the bugs live, and all of it is exercisable with a module that merely

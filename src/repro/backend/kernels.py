@@ -48,7 +48,7 @@ def hamming_matrix_device(am: ArrayModule, a_dev, b_dev):
     with am.kernel("hamming_matrix"):
         diff = a_dev[:, None, :] ^ b_dev[None, :, :]
         counts = am.popcount(diff)
-        out = am.astype(xp.sum(am.astype(counts, np.int32), axis=2), np.int32)
+        out = xp.sum(counts.astype(np.int32), axis=2).astype(np.int32)
     return out
 
 
@@ -57,7 +57,7 @@ def hamming_pairs_device(am: ArrayModule, a_dev, b_dev):
     xp = am.xp
     with am.kernel("hamming_pairs"):
         counts = am.popcount(a_dev ^ b_dev)
-        out = am.astype(xp.sum(am.astype(counts, np.int32), axis=1), np.int32)
+        out = xp.sum(counts.astype(np.int32), axis=1).astype(np.int32)
     return out
 
 

@@ -1,44 +1,32 @@
-"""Central backend registry: the one place kernel tiers are declared.
+"""The kernel tiers: the one place they are declared.
 
-Before this module existed, ``bundle_adjustment.py``, ``pose_graph.py``
-and ``tracking.py`` each re-implemented the same ``unknown backend
-{name!r}`` check against their own private ``_BACKENDS`` tuple — adding
-a tier meant touching every copy.  Now a tier registers once here and
-every call site validates through :func:`validate_backend` /
-:func:`resolve_backend`.
+``bundle_adjustment.py``, ``pose_graph.py``, ``tracking.py`` and every
+other kernel entry point validate their ``backend`` argument through
+:func:`validate_backend` / :func:`resolve_backend`, so all of them share
+one ``unknown backend {name!r}`` contract.
 
-Three tiers ship by default:
+Three tiers exist:
 
 * ``"scalar"`` — per-item Python reference loops;
 * ``"vectorized"`` — batched numpy kernels (the default);
 * ``"gpu"`` — the vectorized kernels executed through an array-module
   dispatch layer (:mod:`repro.backend.dispatch`) on a real device
-  (cupy/torch) when one exists, with a logged numpy fallback when not.
+  (cupy) when one exists, degrading to ``"vectorized"`` on numpy with a
+  logged warning when not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..obs import get_logger
 
 _log = get_logger("backend")
 
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """One kernel tier.
-
-    ``requires_device`` marks tiers that only differ from their
-    ``fallback`` when a device array module is present; resolution
-    degrades to the fallback tier (with a warning, once) otherwise.
-    """
-
-    name: str
-    description: str
-    requires_device: bool = False
-    fallback: Optional[str] = None
+BACKENDS = ("scalar", "vectorized", "gpu")
+_DEVICE_TIER = "gpu"
+_DEVICE_FALLBACK = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -60,25 +48,8 @@ class ResolvedBackend:
         return self.array_module is not None and self.array_module.is_device
 
 
-_REGISTRY: Dict[str, BackendSpec] = {}
-
-
-def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Register a kernel tier (idempotent for identical specs)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing != spec:
-        raise ValueError(f"backend {spec.name!r} already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def known_backends() -> Tuple[str, ...]:
-    """Registered tier names, in registration order."""
-    return tuple(_REGISTRY)
-
-
 def validate_backend(name: str, allowed: Optional[Iterable[str]] = None) -> str:
-    """Check ``name`` against the registry (and an optional subset).
+    """Check ``name`` against :data:`BACKENDS` (and an optional subset).
 
     Returns the validated name so call sites can write
     ``backend = validate_backend(backend or DEFAULT)``.  Raises the
@@ -86,7 +57,7 @@ def validate_backend(name: str, allowed: Optional[Iterable[str]] = None) -> str:
     callers and tests see the same contract from every kernel entry
     point.
     """
-    if name not in _REGISTRY:
+    if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}")
     if allowed is not None and name not in tuple(allowed):
         raise ValueError(f"unknown backend {name!r}")
@@ -103,14 +74,14 @@ def resolve_backend(
 ) -> ResolvedBackend:
     """Validate ``name`` and bind it to an execution plan.
 
-    For device tiers (``"gpu"``), the array module is auto-detected via
+    For the ``"gpu"`` tier, the array module is auto-detected via
     :func:`repro.backend.dispatch.get_array_module` unless one is
     passed explicitly (tests inject the fake module this way).  When no
-    device module exists the tier degrades to its registered fallback
-    and a warning is logged once per process.
+    device module exists the tier degrades to ``"vectorized"`` and a
+    warning is logged once per process.
     """
-    spec = _REGISTRY[validate_backend(name, allowed)]
-    if not spec.requires_device:
+    validate_backend(name, allowed)
+    if name != _DEVICE_TIER:
         return ResolvedBackend(requested=name, kernel=name)
     if array_module is None:
         from .dispatch import get_array_module
@@ -125,23 +96,7 @@ def resolve_backend(
         _warned_fallback = True
         _log.warning(
             "backend %r requested but no device array module is available "
-            "(cupy/torch with a GPU); falling back to %r on numpy",
-            name, spec.fallback,
+            "(cupy with a GPU); falling back to %r on numpy",
+            name, _DEVICE_FALLBACK,
         )
-    return ResolvedBackend(requested=name, kernel=spec.fallback or name)
-
-
-register_backend(
-    BackendSpec("scalar", "per-item Python reference loops")
-)
-register_backend(
-    BackendSpec("vectorized", "batched numpy kernels (default)")
-)
-register_backend(
-    BackendSpec(
-        "gpu",
-        "array-module dispatch onto a GPU device (numpy fallback)",
-        requires_device=True,
-        fallback="vectorized",
-    )
-)
+    return ResolvedBackend(requested=name, kernel=_DEVICE_FALLBACK)

@@ -24,8 +24,6 @@ from .offload import (
     PlacementDecision,
 )
 from .orchestrator import (
-    Orchestrator,
-    OrchestratorConfig,
     ServingOrchestrator,
     ServingReport,
     ServingWorkloadConfig,
@@ -61,8 +59,6 @@ __all__ = [
     "OffloadConfig",
     "OffloadController",
     "OffloadManager",
-    "Orchestrator",
-    "OrchestratorConfig",
     "PLACEMENT_CLIENT",
     "PLACEMENT_SERVER",
     "PlacementDecision",

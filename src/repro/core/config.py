@@ -61,6 +61,9 @@ class MergeCostModel:
         )
 
 
+_STORE_BACKENDS = ("local", "shm")
+
+
 @dataclass
 class ServingConfig:
     """Scale-out serving policy: sharding, batching, admission control.
@@ -68,10 +71,10 @@ class ServingConfig:
     The defaults keep small sessions byte-for-byte compatible with the
     pre-scale-out behavior (no batching window, no staleness shedding,
     a queue deep enough that 4-client sessions never shed) while the
-    sharded store and admission bookkeeping are always on.  Set
-    ``map_shards=1`` and ``admission=False`` for the unsharded /
-    unadmitted A/B baseline; ``batching=True`` turns on cross-client
-    micro-batching (see :class:`repro.gpu.BatchingConfig`).
+    sharded store and admission bookkeeping are always on.
+    ``map_shards=1`` puts the whole map behind one shard lock;
+    ``admission=False`` admits every frame; ``batching=True`` turns on
+    cross-client micro-batching (see :class:`repro.gpu.BatchingConfig`).
     """
 
     # --- sharded map store
@@ -115,6 +118,15 @@ class ServingConfig:
     # tracking split and adds no traffic; ``adaptive`` moves tracking
     # per client at runtime via reliable ``handoff`` messages.
     offload: OffloadConfig = field(default_factory=OffloadConfig)
+
+    def __post_init__(self) -> None:
+        if self.store_backend not in _STORE_BACKENDS:
+            raise ValueError(
+                f"unknown store backend {self.store_backend!r}; "
+                f"expected one of {_STORE_BACKENDS}"
+            )
+        if self.map_shards < 1:
+            raise ValueError("map_shards must be at least 1")
 
     def batching_config(self) -> Optional[BatchingConfig]:
         if not self.batching:

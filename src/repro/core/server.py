@@ -23,7 +23,7 @@ from ..gpu.device import StageBreakdown, TrackingLatencyModel
 from ..imu import ImuDelta
 from ..obs import get_logger, get_metrics, get_tracer, kv
 from ..obs.trace import TraceContext
-from ..sharedmem import ShardedMapStore, SharedMapStore, ShmShardedMapStore
+from ..sharedmem import ShardedMapStore, ShmShardedMapStore
 from ..slam import (
     IdAllocator,
     KeyframeDatabase,
@@ -121,7 +121,7 @@ class SlamShareServer:
         camera: PinholeCamera,
         config: Optional[SlamShareConfig] = None,
         vocabulary: Optional[Vocabulary] = None,
-        store: Optional[SharedMapStore] = None,
+        store: Optional[ShardedMapStore] = None,
     ) -> None:
         self.camera = camera
         self.config = config or SlamShareConfig()
@@ -141,19 +141,17 @@ class SlamShareServer:
         elif serving.store_backend == "shm":
             # Real OS shared memory: one named segment workers can attach.
             self.store = ShmShardedMapStore.create(
-                n_shards=max(1, serving.map_shards),
+                n_shards=serving.map_shards,
                 pack_capacity=serving.shm_pack_capacity,
                 shard_slab_bytes=serving.shm_slab_bytes,
                 region_size=serving.shard_region_m,
                 lock_timeout_s=serving.shm_lock_timeout_s,
             )
-        elif serving.map_shards > 1:
+        else:
             self.store = ShardedMapStore(
                 n_shards=serving.map_shards,
                 region_size=serving.shard_region_m,
             )
-        else:
-            self.store = SharedMapStore()
         self.latency_model = TrackingLatencyModel(
             self.config.cpu_model, self.config.gpu_model
         )
@@ -531,7 +529,7 @@ class SlamShareServer:
         _evicted_keyframes.inc(len(evicted_kfs))
         _evicted_points.inc(len(evicted_pts))
         threshold = self.config.serving.store_compact_utilization
-        if threshold is not None and hasattr(self.store, "maybe_compact"):
+        if threshold is not None:
             self.store.maybe_compact(threshold)
 
     # --------------------------------------------------------------- merge
@@ -569,7 +567,7 @@ class SlamShareServer:
             # Alg. 2 rewrote the welded entities' poses/positions across
             # several spatial regions; republish them into the store as
             # one batch so the sharded store takes its ordered
-            # multi-shard write lock (single write lock when unsharded).
+            # multi-shard write lock.
             merged_kfs = self.global_map.keyframes_of_client(
                 process.client_id
             )

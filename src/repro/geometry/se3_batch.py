@@ -59,8 +59,8 @@ def compose(
 ) -> PoseStack:
     """Row-wise ``T_a * T_b`` (apply ``T_b`` first), like :meth:`SE3.compose`.
 
-    Pure operator arithmetic — runs unchanged on numpy, cupy, torch or
-    fake device stacks (the ``"gpu"`` tier feeds it device arrays).
+    Pure operator arithmetic — runs unchanged on numpy, cupy or fake
+    device stacks (the ``"gpu"`` tier feeds it device arrays).
     """
     return r_a @ r_b, (r_a @ t_b[..., None])[..., 0] + t_a
 

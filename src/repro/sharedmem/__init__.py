@@ -1,7 +1,6 @@
 """Shared-memory substrate: arena, packed records, RW lock, map store."""
 
 from .arena import ALIGNMENT, Arena, ArenaError, ArenaStats
-from .mapstore import DEFAULT_CAPACITY, SharedMapStore, StoreStats
 from .records import (
     keyframe_record_size,
     mappoint_record_size,
@@ -12,7 +11,12 @@ from .records import (
 )
 from .prwlock import ProcessRWLock
 from .rwlock import RWLock
-from .sharding import ShardedMapStore, spatial_shard
+from .sharding import (
+    DEFAULT_CAPACITY,
+    ShardedMapStore,
+    StoreStats,
+    spatial_shard,
+)
 from .shm_backend import SharedMemoryRegion
 from .snapshot import (
     LoadedSnapshot,
@@ -40,7 +44,6 @@ __all__ = [
     "RWLock",
     "ShardedMapStore",
     "SharedMapPack",
-    "SharedMapStore",
     "ShmMapLayout",
     "ShmShardedMapStore",
     "ShmStoreHandle",

@@ -1,15 +1,13 @@
-"""Spatially sharded shared-memory map store (scale-out serving layer).
+"""Spatially sharded map store (the global map's record store, §4.3.2).
 
-One :class:`SharedMapStore` guards the whole global map with a single
-write-preferring RW lock, which is correct but serializes every map
-publish against every reader once tens of per-client server processes
-hammer it.  :class:`ShardedMapStore` splits the map into ``n_shards``
-arenas, each with its own :class:`RWLock`, and routes every entity to a
-shard by the *spatial region* it lives in (keyframes by camera center,
-map points by position).  SLAM access is spatially local — a tracking
-process reads the region its client is looking at — so most operations
-touch exactly one shard and proceed in parallel with publishes to other
-regions.
+:class:`ShardedMapStore` splits the map into ``n_shards`` arenas, each
+with its own write-preferring :class:`RWLock`, and routes every entity
+to a shard by the *spatial region* it lives in (keyframes by camera
+center, map points by position).  SLAM access is spatially local — a
+tracking process reads the region its client is looking at — so most
+operations touch exactly one shard and proceed in parallel with
+publishes to other regions.  ``n_shards=1`` is a single arena behind a
+single lock.
 
 Cross-shard operations (an Alg.-2 merge rewrites entities spread over
 several regions, and a publish batch may straddle a region boundary)
@@ -29,13 +27,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..obs import get_metrics, get_tracer
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
 from .arena import Arena, ArenaStats
-from .mapstore import DEFAULT_CAPACITY, StoreStats
 from .records import (
     keyframe_record_size,
     mappoint_record_size,
@@ -45,6 +43,8 @@ from .records import (
     write_mappoint_record,
 )
 from .rwlock import RWLock
+
+DEFAULT_CAPACITY = 256 * 1024 * 1024  # scaled-down 2 GB region
 
 _tracer = get_tracer()
 _metrics = get_metrics()
@@ -66,6 +66,15 @@ _compactions_total = _metrics.counter(
 _reclaimed_bytes = _metrics.counter(
     "sharedmem.reclaimed_bytes", "bytes reclaimed by store compaction"
 )
+
+
+@dataclass
+class StoreStats:
+    n_keyframes: int
+    n_mappoints: int
+    arena: ArenaStats
+    writes: int
+    reads: int
 
 
 def spatial_shard(position, region_size: float, n_shards: int) -> int:
@@ -101,11 +110,11 @@ class _Shard:
 
 
 class ShardedMapStore:
-    """Region-sharded drop-in for :class:`SharedMapStore`.
+    """Arena-backed, region-sharded store of the global map's records.
 
-    Same public surface (put/get/remove, ``publish_map``, ``stats``)
-    plus shard introspection and the ordered multi-shard write
-    transaction used by merges.
+    Put/get/remove, ``publish_map`` and ``stats``, plus shard
+    introspection and the ordered multi-shard write transaction used by
+    merges.
     """
 
     def __init__(
@@ -126,8 +135,8 @@ class ShardedMapStore:
         ]
         # Sticky routing: entity id -> shard index.  Mutated only while
         # holding the target shard's write lock; lookups are plain dict
-        # reads (atomic under the GIL), mirroring how the unsharded
-        # store keeps its index process-local beside the shared payload.
+        # reads (atomic under the GIL); the index is process-local
+        # metadata beside the shared payload bytes.
         self._kf_shard: Dict[int, int] = {}
         self._mp_shard: Dict[int, int] = {}
 
@@ -367,7 +376,7 @@ class ShardedMapStore:
 
     # ------------------------------------------------------------- stats
     def stats(self) -> StoreStats:
-        """Aggregate view matching :meth:`SharedMapStore.stats`."""
+        """Counts and arena occupancy summed over every shard."""
         capacity = allocated = n_blocks = peak = 0
         writes = reads = 0
         n_kf = n_mp = 0

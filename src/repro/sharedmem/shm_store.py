@@ -63,7 +63,6 @@ from ..obs import get_metrics, get_tracer
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
 from .arena import ArenaError, ArenaStats
-from .mapstore import StoreStats
 from .prwlock import ProcessRWLock
 from .records import (
     keyframe_record_size,
@@ -73,7 +72,7 @@ from .records import (
     write_keyframe_record,
     write_mappoint_record,
 )
-from .sharding import spatial_shard
+from .sharding import StoreStats, spatial_shard
 from .shm_backend import SharedMemoryRegion
 
 _tracer = get_tracer()

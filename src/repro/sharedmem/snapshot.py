@@ -119,7 +119,7 @@ def save_snapshot(
     not-yet-merged clients (whose geometry is still in a private frame)
     stay out of the durable map.
     """
-    n_shards = int(getattr(store, "n_shards", 1))
+    n_shards = store.n_shards
     kf_filter = None if keyframe_ids is None else {int(i) for i in keyframe_ids}
     mp_filter = None if mappoint_ids is None else {int(i) for i in mappoint_ids}
     per_shard: Dict[int, bytearray] = {i: bytearray() for i in range(n_shards)}
@@ -130,9 +130,7 @@ def save_snapshot(
         kf = store.get_keyframe(kf_id)
         if kf is None:
             continue
-        shard = (store.shard_of_keyframe(kf)
-                 if hasattr(store, "shard_of_keyframe") else 0)
-        per_shard[shard] += _frame_keyframe(kf)
+        per_shard[store.shard_of_keyframe(kf)] += _frame_keyframe(kf)
         n_kf += 1
     for pid in store.mappoint_ids():
         if mp_filter is not None and int(pid) not in mp_filter:
@@ -140,9 +138,7 @@ def save_snapshot(
         point = store.get_mappoint(pid)
         if point is None:
             continue
-        shard = (store.shard_of_mappoint(point)
-                 if hasattr(store, "shard_of_mappoint") else 0)
-        per_shard[shard] += _frame_mappoint(point)
+        per_shard[store.shard_of_mappoint(point)] += _frame_mappoint(point)
         n_mp += 1
 
     tmp = path.rstrip(os.sep) + ".tmp"
@@ -210,17 +206,33 @@ def load_snapshot(path: str) -> LoadedSnapshot:
         view = memoryview(data)
         cursor = 0
         while cursor < len(data):
-            kind, _flags, entity_id, size = _FRAME.unpack_from(view, cursor)
-            payload = view[cursor + _FRAME.size : cursor + _FRAME.size + size]
-            if kind == KIND_KEYFRAME:
-                keyframes.append(read_keyframe_record(payload))
-            elif kind == KIND_MAPPOINT:
-                mappoints.append(read_mappoint_record(payload))
-            else:
+            # The crc only proves the file is what the manifest says;
+            # frame sizes are still outside input and must stay in bounds.
+            start = cursor + _FRAME.size
+            if start > len(data):
                 raise SnapshotError(
-                    f"corrupt snapshot record kind {kind} in {meta['file']}"
+                    f"truncated snapshot record header in {meta['file']}"
                 )
-            cursor += _FRAME.size + size
+            kind, _flags, entity_id, size = _FRAME.unpack_from(view, cursor)
+            if size > len(data) - start:
+                raise SnapshotError(
+                    f"snapshot record overruns {meta['file']}"
+                )
+            payload = view[start : start + size]
+            try:
+                if kind == KIND_KEYFRAME:
+                    keyframes.append(read_keyframe_record(payload))
+                elif kind == KIND_MAPPOINT:
+                    mappoints.append(read_mappoint_record(payload))
+                else:
+                    raise SnapshotError(
+                        f"corrupt snapshot record kind {kind} in {meta['file']}"
+                    )
+            except (struct.error, ValueError) as exc:
+                raise SnapshotError(
+                    f"corrupt snapshot record in {meta['file']}: {exc}"
+                ) from exc
+            cursor = start + size
     return LoadedSnapshot(manifest=manifest, keyframes=keyframes,
                           mappoints=mappoints)
 

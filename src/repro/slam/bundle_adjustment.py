@@ -441,7 +441,7 @@ def local_bundle_adjustment(
     poses are held constant (the standard local-BA gauge anchor).
     ``backend`` selects the batched kernels (``"vectorized"``, default),
     the reference per-point loops (``"scalar"``), or the device tier
-    (``"gpu"`` — the vectorized kernels on a cupy/torch device, with an
+    (``"gpu"`` — the vectorized kernels on a cupy device, with an
     automatic logged fallback to ``"vectorized"`` when none exists).
     """
     backend = backend or DEFAULT_BACKEND

@@ -6,7 +6,7 @@ costume, see :mod:`repro.backend.fake_xp`), which routes the kernels
 through the exact device code paths — staged uploads, counted
 transfers, measured kernel timings — while computing on numpy, so
 "gpu" results must be *bit-exact* against "vectorized".  Real-device
-cases (cupy/torch) are additionally exercised when the host has one
+cases (cupy) are additionally exercised when the host has one
 (``skipif`` otherwise).
 """
 
@@ -18,18 +18,16 @@ import numpy as np
 import pytest
 
 from repro.backend import (
+    BACKENDS,
     ArrayModule,
-    available_device_modules,
-    clear_detection_cache,
     get_array_module,
     host_array_module,
-    known_backends,
     probe_array_module,
-    register_device_builder,
     resolve_backend,
     use_array_module,
     validate_backend,
 )
+from repro.backend import dispatch
 from repro.backend.fake_xp import FakeDeviceArray, make_fake_array_module
 from repro.backend.kernels import (
     hamming_matrix_device,
@@ -46,7 +44,7 @@ from repro.vision.brief import (
 )
 from repro.vision.matching import match_descriptors
 
-HAS_REAL_DEVICE = bool(available_device_modules())
+HAS_REAL_DEVICE = get_array_module("auto").is_device
 
 
 def _rand_descriptors(rng, n):
@@ -56,9 +54,8 @@ def _rand_descriptors(rng, n):
 # ---------------------------------------------------------------- registry
 class TestRegistry:
     def test_three_tiers_registered(self):
-        names = known_backends()
         for tier in ("scalar", "vectorized", "gpu"):
-            assert tier in names
+            assert tier in BACKENDS
 
     def test_validate_accepts_known(self):
         assert validate_backend("gpu") == "gpu"
@@ -173,7 +170,7 @@ class TestProbeAndDetection:
         am = get_array_module("auto")
         assert am is not None
 
-    def test_registered_builder_goes_through_probe(self):
+    def test_registered_builder_goes_through_probe(self, monkeypatch):
         calls = []
 
         def good_builder():
@@ -185,23 +182,16 @@ class TestProbeAndDetection:
             return make_fake_array_module("registered-bad",
                                           fail_ops={"bincount"})
 
-        register_device_builder("testgood", good_builder)
-        register_device_builder("testbad", bad_builder)
-        try:
-            clear_detection_cache()
-            assert get_array_module("testbad") is None
-            am = get_array_module("testgood")
-            assert am is not None and am.name == "registered-good"
-            # detection result is cached: no rebuild on second lookup
-            n_calls = len(calls)
-            get_array_module("testgood")
-            assert len(calls) == n_calls
-        finally:
-            from repro.backend.dispatch import _DEVICE_BUILDERS
-
-            _DEVICE_BUILDERS.pop("testgood", None)
-            _DEVICE_BUILDERS.pop("testbad", None)
-            clear_detection_cache()
+        monkeypatch.setattr(dispatch, "_DEVICE_BUILDERS",
+                            {"testgood": good_builder, "testbad": bad_builder})
+        monkeypatch.setattr(dispatch, "_DETECTED", {})
+        assert get_array_module("testbad") is None
+        am = get_array_module("testgood")
+        assert am is not None and am.name == "registered-good"
+        # detection result is cached: no rebuild on second lookup
+        n_calls = len(calls)
+        get_array_module("testgood")
+        assert len(calls) == n_calls
 
     def test_override_short_circuits_detection(self):
         fake = make_fake_array_module("override")

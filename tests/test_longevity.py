@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -390,6 +391,38 @@ class TestSnapshotRoundTrip:
         with open(os.path.join(path, shard_file), "r+b") as fh:
             fh.seek(20)
             fh.write(b"\xff\xff")
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated_header", "payload_overrun", "short_payload",
+    ])
+    def test_frame_overrunning_its_shard_rejected(self, tmp_path, damage):
+        """Frame sizes are outside input: a shard whose crc matches the
+        manifest but whose frames do not fit must raise SnapshotError."""
+        _, store = self._store_with_map()
+        path = str(tmp_path / "overrun.snap")
+        save_snapshot(store, path)
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        meta = next(m for m in manifest["shards"] if m["bytes"])
+        shard_path = os.path.join(path, meta["file"])
+        with open(shard_path, "rb") as fh:
+            data = bytearray(fh.read())
+        size_field = slice(16, 24)  # kind u32 | flags u32 | id u64 | size u64
+        if damage == "truncated_header":
+            data += b"\x01\x00\x00\x00"
+        elif damage == "payload_overrun":
+            data[size_field] = len(data).to_bytes(8, "little")
+        else:
+            data[size_field] = (8).to_bytes(8, "little")
+        with open(shard_path, "wb") as fh:
+            fh.write(data)
+        meta["bytes"] = len(data)
+        meta["crc32"] = zlib.crc32(bytes(data))
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import SE3, Sim3, so3, umeyama
 from repro.net import deserialize_map, serialize_map
-from repro.sharedmem import SharedMapStore
+from repro.sharedmem import ShardedMapStore
 from tests.test_net_serialization_transport import make_map
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -84,7 +84,7 @@ class TestRoundTrips:
     @settings(max_examples=10, deadline=None)
     def test_shared_store_roundtrip_random_maps(self, seed):
         slam_map = make_map(n_keyframes=3, n_points_per_kf=10, seed=seed)
-        store = SharedMapStore(capacity=8 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=8 * 1024 * 1024)
         store.publish_map(slam_map.keyframes.values(),
                           slam_map.mappoints.values())
         for kf_id, kf in slam_map.keyframes.items():
@@ -99,7 +99,7 @@ class TestRoundTrips:
     @settings(max_examples=10, deadline=None)
     def test_store_update_conserves_entity_count(self, seed):
         slam_map = make_map(n_keyframes=2, n_points_per_kf=6, seed=seed)
-        store = SharedMapStore(capacity=8 * 1024 * 1024)
+        store = ShardedMapStore(n_shards=1, capacity=8 * 1024 * 1024)
         # Publishing twice (an update) must not duplicate entities.
         store.publish_map(slam_map.keyframes.values(),
                           slam_map.mappoints.values())

@@ -17,7 +17,15 @@ from repro.core.server import SlamShareServer
 from repro.datasets import euroc_dataset
 from repro.gpu import BatchingConfig, GpuScheduler
 from repro.net.simclock import SimClock
-from repro.sharedmem import ShardedMapStore, SharedMapStore, spatial_shard
+from repro.sharedmem import (
+    ShardedMapStore,
+    keyframe_record_size,
+    load_snapshot,
+    mappoint_record_size,
+    spatial_shard,
+    write_keyframe_record,
+    write_mappoint_record,
+)
 from tests.test_net_serialization_transport import make_map
 
 
@@ -413,7 +421,32 @@ class TestAdmissionControl:
         assert isinstance(server.store, ShardedMapStore)
         assert server.store.n_shards == 4
         unsharded = self._server(map_shards=1)
-        assert isinstance(unsharded.store, SharedMapStore)
+        assert isinstance(unsharded.store, ShardedMapStore)
+        assert unsharded.store.n_shards == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"store_backend": "redis"},
+        {"store_backend": ""},
+        {"map_shards": 0},
+        {"map_shards": -3},
+    ])
+    def test_serving_config_rejects_bad_store_settings(self, bad):
+        with pytest.raises(ValueError):
+            ServingConfig(**bad)
+
+
+def _record_bytes(snapshot):
+    """Every snapshot record packed back to bytes, keyed by entity."""
+    records = {}
+    for kf in snapshot.keyframes:
+        buf = bytearray(keyframe_record_size(len(kf), len(kf.bow_vector)))
+        write_keyframe_record(memoryview(buf), kf)
+        records[("kf", kf.keyframe_id)] = bytes(buf)
+    for point in snapshot.mappoints:
+        buf = bytearray(mappoint_record_size(len(point.observations)))
+        write_mappoint_record(memoryview(buf), point)
+        records[("mp", point.point_id)] = bytes(buf)
+    return records
 
 
 class TestSessionScaleOut:
@@ -439,6 +472,30 @@ class TestSessionScaleOut:
         assert isinstance(session.server.store, ShardedMapStore)
         # Every admitted frame's slot was released.
         assert session.server.in_flight(0) == 0
+
+    def test_shard_count_changes_neither_poses_nor_snapshot(self, tmp_path):
+        """The serving path never reads the store, so a one-shard and an
+        eight-shard store must track identically and persist the same
+        records."""
+        runs = {}
+        for n_shards in (1, 8):
+            path = str(tmp_path / f"shards-{n_shards}.snap")
+            config = SlamShareConfig(
+                render_video_frames=False,
+                serving=ServingConfig(map_shards=n_shards,
+                                      snapshot_path=path),
+            )
+            result = SlamShareSession(self._scenarios(), config=config).run()
+            runs[n_shards] = (result.server.client_trajectory(0),
+                              load_snapshot(path))
+        (traj_1, snap_1), (traj_8, snap_8) = runs[1], runs[8]
+        assert len(traj_1) > 0
+        np.testing.assert_array_equal(traj_1.timestamps, traj_8.timestamps)
+        np.testing.assert_array_equal(traj_1.positions, traj_8.positions)
+        np.testing.assert_array_equal(traj_1.orientations, traj_8.orientations)
+        assert snap_1.info.n_shards == 1 and snap_8.info.n_shards == 8
+        assert snap_1.keyframes
+        assert _record_bytes(snap_1) == _record_bytes(snap_8)
 
     def test_session_sheds_stale_frames_and_bridges_gaps(self):
         # stale_ms=0 sheds every delivered frame: degenerate by design,

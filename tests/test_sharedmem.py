@@ -12,7 +12,7 @@ from repro.sharedmem import (
     Arena,
     ArenaError,
     RWLock,
-    SharedMapStore,
+    ShardedMapStore,
     SharedMemoryRegion,
     keyframe_record_size,
     mappoint_record_size,
@@ -212,7 +212,7 @@ class TestRecords:
 
 class TestSharedMapStore:
     def _store(self):
-        return SharedMapStore(capacity=4 * 1024 * 1024)
+        return ShardedMapStore(n_shards=1, capacity=4 * 1024 * 1024)
 
     def test_put_get_keyframe(self):
         store = self._store()
@@ -275,15 +275,6 @@ class TestSharedMemoryRegion:
             other = SharedMemoryRegion(name=region.name, create=False)
             assert bytes(other.buffer[:5]) == b"hello"
             other.close()
-
-    def test_store_over_real_shared_memory(self):
-        with SharedMemoryRegion(size=1024 * 1024) as region:
-            store = SharedMapStore(buffer=region.buffer)
-            slam_map = make_map(seed=10)
-            kf = next(iter(slam_map.keyframes.values()))
-            store.put_keyframe(kf)
-            assert store.get_keyframe(kf.keyframe_id) is not None
-            del store  # release memoryviews before region teardown
 
     def test_invalid_create_args(self):
         with pytest.raises(ValueError):
