@@ -80,10 +80,10 @@ class ServingConfig:
     # --- sharded map store
     map_shards: int = 8
     shard_region_m: float = 8.0          # spatial-hash grid cell edge
-    # --- store backend: "local" keeps the in-process bytearray arena
-    # (default; byte-identical to the pre-PR7 behavior), "shm" places
-    # the store in a named OS shared-memory segment that real worker
-    # processes can attach (repro.sharedmem.ShmShardedMapStore).
+    # --- store backend: the byte backing of the one map store
+    # (repro.sharedmem.ShmShardedMapStore).  "local" (default) lays it
+    # over a process-private heap mapping; "shm" over a named OS
+    # shared-memory segment that real worker processes can attach.
     store_backend: str = "local"
     shm_pack_capacity: int = 65536       # packed map-matrix rows
     shm_slab_bytes: int = 4 * 1024 * 1024  # per-shard record-log slab
@@ -105,7 +105,7 @@ class ServingConfig:
     # global map stays under budget via covisibility-aware LRU eviction.
     map_max_keyframes: Optional[int] = None
     map_max_points: Optional[int] = None
-    # Store compaction trigger: compact any shard whose arena / log
+    # Store compaction trigger: compact any shard whose record log
     # crosses this utilization after evictions land.  None disables.
     store_compact_utilization: Optional[float] = 0.6
     # Snapshot/restore wiring (repro.cli snapshot / restore): restore

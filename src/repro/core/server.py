@@ -23,7 +23,7 @@ from ..gpu.device import StageBreakdown, TrackingLatencyModel
 from ..imu import ImuDelta
 from ..obs import get_logger, get_metrics, get_tracer, kv
 from ..obs.trace import TraceContext
-from ..sharedmem import ShardedMapStore, ShmShardedMapStore
+from ..sharedmem import ShardedMapStore
 from ..slam import (
     IdAllocator,
     KeyframeDatabase,
@@ -135,12 +135,12 @@ class SlamShareServer:
             self.config.slam.mapping.max_keyframes = serving.map_max_keyframes
         if serving.map_max_points is not None:
             self.config.slam.mapping.max_mappoints = serving.map_max_points
-        self._owns_store = store is None and serving.store_backend == "shm"
+        self._owns_store = store is None
         if store is not None:
             self.store = store
         elif serving.store_backend == "shm":
             # Real OS shared memory: one named segment workers can attach.
-            self.store = ShmShardedMapStore.create(
+            self.store = ShardedMapStore.create(
                 n_shards=serving.map_shards,
                 pack_capacity=serving.shm_pack_capacity,
                 shard_slab_bytes=serving.shm_slab_bytes,
@@ -148,6 +148,7 @@ class SlamShareServer:
                 lock_timeout_s=serving.shm_lock_timeout_s,
             )
         else:
+            # The same store over a process-private heap mapping.
             self.store = ShardedMapStore(
                 n_shards=serving.map_shards,
                 region_size=serving.shard_region_m,
@@ -171,13 +172,13 @@ class SlamShareServer:
 
     # --------------------------------------------------------------- admin
     def shutdown(self) -> None:
-        """Release the map store if this server owns an OS shm segment.
+        """Release the map store this server built from its config.
 
-        The default in-process backends have no OS resources, so this is
-        a no-op for them; for ``store_backend="shm"`` it detaches and
-        destroys the named segment.  Idempotent.
+        Closes the store's backing: the heap mapping for the default
+        backend; for ``store_backend="shm"`` it also destroys the named
+        segment.  Idempotent.
         """
-        if self._owns_store and isinstance(self.store, ShmShardedMapStore):
+        if self._owns_store:
             self._owns_store = False
             self.store.close()
             self.store.unlink()
@@ -511,9 +512,9 @@ class SlamShareServer:
         Budget enforcement runs inside the mapper (on the client's map,
         which *is* the global map once merged); the store learns about
         it here via tombstones.  When tombstones have accumulated past
-        the configured utilization, the store compacts its shard logs /
-        arenas so long-lived sessions reclaim the dead bytes instead of
-        growing monotonically.
+        the configured utilization, the store compacts its shard logs
+        so long-lived sessions reclaim the dead bytes instead of growing
+        monotonically.
         """
         evicted_kfs, evicted_pts = process.system.map.drain_evictions()
         if not evicted_kfs and not evicted_pts:

@@ -1,6 +1,5 @@
-"""Shared-memory substrate: arena, packed records, RW lock, map store."""
+"""Shared-memory substrate: packed records, RW locks, the map store."""
 
-from .arena import ALIGNMENT, Arena, ArenaError, ArenaStats
 from .records import (
     keyframe_record_size,
     mappoint_record_size,
@@ -11,12 +10,6 @@ from .records import (
 )
 from .prwlock import ProcessRWLock
 from .rwlock import RWLock
-from .sharding import (
-    DEFAULT_CAPACITY,
-    ShardedMapStore,
-    StoreStats,
-    spatial_shard,
-)
 from .shm_backend import SharedMemoryRegion
 from .snapshot import (
     LoadedSnapshot,
@@ -28,15 +21,19 @@ from .snapshot import (
     save_snapshot,
 )
 from .shm_store import (
+    DEFAULT_CAPACITY,
+    ArenaError,
+    ArenaStats,
+    ShardedMapStore,
     SharedMapPack,
     ShmMapLayout,
     ShmShardedMapStore,
     ShmStoreHandle,
+    StoreStats,
+    spatial_shard,
 )
 
 __all__ = [
-    "ALIGNMENT",
-    "Arena",
     "ArenaError",
     "ArenaStats",
     "DEFAULT_CAPACITY",

@@ -1,6 +1,6 @@
 """Real OS shared memory backing for the map store.
 
-The single-process simulation uses a ``bytearray`` arena; this module
+The map store's heap backing is a process-private mapping; this module
 provides the genuine article — a named ``multiprocessing.shared_memory``
 segment that separate Python processes can attach, matching the Boost
 interprocess usage in the paper (an orchestrator allocates the region,

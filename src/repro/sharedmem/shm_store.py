@@ -1,13 +1,23 @@
-"""True shared-memory map tier: one segment, N attached processes.
+"""The global map's record store: one log-structured layout, two byte backings.
 
-This module backs the shared-map abstractions with a real
-``multiprocessing.shared_memory`` segment so separate OS processes —
-not threads under the GIL — read and write the global map zero-copy,
-the deployment the paper actually describes (§4.3.2: the orchestrator
-allocates the region, each per-client server process "searches and
-attaches the shared memory buffer to its own virtual address space").
+SLAM-Share keeps the global map in one shared-memory region that every
+per-client server process attaches (§4.3.2: the orchestrator allocates
+the region, each process "searches and attaches the shared memory
+buffer to its own virtual address space").  :class:`ShmShardedMapStore`
+(also importable as ``ShardedMapStore``) is that store, laid out over
+one of two byte backings:
 
-Everything lives in **one arena** (a single named segment):
+* **heap** — ``ShmShardedMapStore(n_shards, capacity, region_size)``:
+  an anonymous private mapping, committed page by page as records are
+  written, guarded by the thread-tier :class:`~repro.sharedmem.rwlock.RWLock`;
+  the single-process serving path uses it.
+* **shm** — :meth:`ShmShardedMapStore.create` / :meth:`attach`: a named
+  ``multiprocessing.shared_memory`` segment that separate OS processes
+  read and write zero-copy, guarded by
+  :class:`~repro.sharedmem.prwlock.ProcessRWLock` whose lock words sit
+  in the segment's headers.
+
+Both backings hold the same layout:
 
 ::
 
@@ -18,13 +28,13 @@ Everything lives in **one arena** (a single named segment):
     | map pack slab:                                               |
     |   header (64 B): count u64 | version u64 | capacity u64 |    |
     |                  lock word (16 B)                            |
-    |   positions   f64[capacity, 3]    <- PR-2/5 packed matrices  |
+    |   positions   f64[capacity, 3]    <- packed map matrices     |
     |   descriptors u8 [capacity, 32]                              |
     |   point_ids   i64[capacity]                                  |
     +--------------------------------------------------------------+
     | shard slab 0..n-1 (each shard_slab_bytes):                   |
     |   header (64 B): bytes_used u64 | n_records u64 |            |
-    |                  version u64 | lock word (16 B)              |
+    |                  version u64 | lock word (16 B) | epoch u64  |
     |   append-only record log:                                    |
     |     (kind u32 | flags u32 | entity_id u64 | size u64)        |
     |     + packed keyframe/mappoint record, 8-aligned             |
@@ -32,25 +42,38 @@ Everything lives in **one arena** (a single named segment):
 
 The *map pack* holds the map's packed ``(n, 3)`` position and
 ``(n, 32)`` descriptor matrices as numpy views straight over the
-segment — worker processes run the vectorized tracking kernels
+backing — worker processes run the vectorized tracking kernels
 (Hamming matching, projection search) on them with zero copies.  The
 *shard slabs* are the record store: a bump-cursor log per spatial
-shard whose cursor (``bytes_used``) lives in the shard header, i.e.
-the allocator state itself is in shared memory.  Each shard and the
-pack are guarded by a :class:`~repro.sharedmem.prwlock.ProcessRWLock`
-whose lock word sits in the corresponding header.
+shard whose cursor (``bytes_used``) lives in the shard header, so the
+allocator state itself is in the backing.  Updates append a new
+version; removes append a tombstone.  An append that does not fit
+compacts its shard in place under the write lock it already holds and
+retries; it fails only when the shard's live records alone fill it.
+
+Entities are routed to shards by the *spatial region* they live in
+(keyframes by camera center, map points by position): a grid-cell
+hash (cell edge ``region_size`` metres) that is deterministic across
+processes and runs.  SLAM access is spatially local, so most
+operations touch one shard and proceed in parallel with writes to
+other regions.  Routing is *sticky*: updates stay in the shard an
+entity was created in even if bundle adjustment moves it across a cell
+boundary.  Cross-shard writers (a publish batch straddling regions, an
+Alg.-2 merge) take every involved shard's write lock in ascending
+shard order, which keeps interleaved writers deadlock-free across
+threads and processes alike.
 
 Record indexes (entity id -> log offset) are process-local caches,
 rebuilt incrementally by scanning the log tail under the shard lock —
-deterministic because appends are serialized by the write lock.
-Sticky id->shard routing works cross-process the same way: a record's
-shard is fixed by the spatial hash of its *creation* position, and a
-process learns placements by reading; updates always append to the
-shard the entity already lives in.
+deterministic because appends are serialized by the write lock.  A
+compaction bumps the shard's epoch, telling every other attached
+process to drop its cached offsets and rescan from the log start.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import multiprocessing as mp
 import struct
 from contextlib import contextmanager
@@ -62,7 +85,6 @@ import numpy as np
 from ..obs import get_metrics, get_tracer
 from ..slam.keyframe import KeyFrame
 from ..slam.mappoint import MapPoint
-from .arena import ArenaError, ArenaStats
 from .prwlock import ProcessRWLock
 from .records import (
     keyframe_record_size,
@@ -72,8 +94,10 @@ from .records import (
     write_keyframe_record,
     write_mappoint_record,
 )
-from .sharding import StoreStats, spatial_shard
+from .rwlock import RWLock
 from .shm_backend import SharedMemoryRegion
+
+DEFAULT_CAPACITY = 256 * 1024 * 1024  # scaled-down 2 GB region
 
 _tracer = get_tracer()
 _metrics = get_metrics()
@@ -83,12 +107,25 @@ _publishes_total = _metrics.counter(
 _publish_bytes = _metrics.counter(
     "sharedmem.publish_bytes", "bytes written by map publishes"
 )
+_multi_shard_writes = _metrics.counter(
+    "sharedmem.multi_shard_writes", "publishes spanning more than one shard"
+)
+_shards_per_write = _metrics.histogram(
+    "sharedmem.shards_per_write", "write-locked shards per publish batch"
+)
 _compactions_total = _metrics.counter(
     "sharedmem.compactions", "store compaction passes"
 )
 _reclaimed_bytes = _metrics.counter(
     "sharedmem.reclaimed_bytes", "bytes reclaimed by store compaction"
 )
+
+
+def _count_compaction(reclaimed: int) -> None:
+    if _metrics.enabled:
+        _compactions_total.inc()
+        _reclaimed_bytes.inc(reclaimed)
+
 
 MAGIC = 0x534C4D53  # "SLMS"
 LAYOUT_VERSION = 1
@@ -117,9 +154,57 @@ def _align8(n: int) -> int:
     return (n + 7) & ~7
 
 
+class ArenaError(RuntimeError):
+    """A shard log or the map pack is out of space."""
+
+
+@dataclass
+class ArenaStats:
+    capacity: int
+    allocated: int
+    n_blocks: int
+    peak_allocated: int
+
+    @property
+    def utilization(self) -> float:
+        return self.allocated / self.capacity if self.capacity else 0.0
+
+
+@dataclass
+class StoreStats:
+    n_keyframes: int
+    n_mappoints: int
+    arena: ArenaStats
+    writes: int
+    reads: int
+
+
+def spatial_shard(position, region_size: float, n_shards: int) -> int:
+    """Deterministic shard index for a 3-D position.
+
+    Grid-cell hash with the canonical spatial-hashing primes; stable
+    across interpreter runs and processes (no ``PYTHONHASHSEED``
+    dependence), which matters because every attached process must
+    agree on where a region lives.
+    """
+    inv = 1.0 / region_size
+    cx = math.floor(float(position[0]) * inv)
+    cy = math.floor(float(position[1]) * inv)
+    cz = math.floor(float(position[2]) * inv)
+    h = (cx * 73856093) ^ (cy * 19349663) ^ (cz * 83492791)
+    return (h & 0x7FFFFFFF) % n_shards
+
+
+def _check_shape(n_shards: int, region_size: float) -> None:
+    if n_shards < 1:
+        raise ValueError("need at least one shard")
+    if region_size <= 0:
+        raise ValueError("region_size must be positive")
+
+
 @dataclass(frozen=True)
 class ShmMapLayout:
-    """Offset arithmetic for the single-segment map arena."""
+    """Offset arithmetic for the single-region map layout."""
 
     n_shards: int = 8
     pack_capacity: int = 65536
@@ -163,6 +248,11 @@ class ShmMapLayout:
             self.pack_capacity, self.shard_slab_bytes, self.region_size,
         )
 
+    def format(self, buf: memoryview) -> None:
+        """Initialize a zero-filled region: only non-zero fields are written."""
+        self.write_global_header(buf)
+        _SLAB_COUNTS.pack_into(buf, self.pack_offset, 0, 0, self.pack_capacity)
+
     @classmethod
     def from_global_header(cls, buf: memoryview) -> "ShmMapLayout":
         magic, version, n_shards, _, cap, slab, region = (
@@ -179,8 +269,34 @@ class ShmMapLayout:
                    shard_slab_bytes=slab, region_size=region)
 
 
+class _HeapRegion:
+    """Process-private byte backing with the region surface the store uses.
+
+    An anonymous mapping arrives zero-filled, like a fresh segment, but
+    the kernel commits its pages only as they are first written.
+    """
+
+    name = None
+
+    def __init__(self, size: int) -> None:
+        self._map = mmap.mmap(-1, size)
+        self.buffer = memoryview(self._map)
+
+    def close(self) -> None:
+        try:
+            self.buffer.release()
+            self._map.close()
+        except BufferError:
+            # Live views over the buffer keep it pinned; the mapping is
+            # released when they are garbage collected.
+            pass
+
+    def unlink(self) -> None:
+        """Nothing outlives the process: a no-op, as on attached regions."""
+
+
 class SharedMapPack:
-    """The map's packed matrices as numpy views over the segment.
+    """The map's packed matrices as numpy views over the backing.
 
     ``positions``/``descriptors``/``point_ids`` are zero-copy views;
     row ``i`` of each belongs to one map point.  Readers hold the pack
@@ -190,7 +306,7 @@ class SharedMapPack:
     """
 
     def __init__(self, buffer: memoryview, layout: ShmMapLayout,
-                 lock: ProcessRWLock) -> None:
+                 lock) -> None:
         self._buf = buffer
         self._layout = layout
         self.lock = lock
@@ -253,7 +369,7 @@ class SharedMapPack:
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
         with self.lock.write():
             count, version, _ = self._counts()
-            if len(rows) and int(rows.max()) >= count:
+            if len(rows) and (int(rows.min()) < 0 or int(rows.max()) >= count):
                 raise IndexError("set_positions beyond the appended range")
             self.positions[rows] = positions
             self._set_counts(count, version + 1)
@@ -274,15 +390,14 @@ class SharedMapPack:
             return pos.copy(), desc.copy(), ids.copy(), version
 
 
-class _ShmShard:
+class _Shard:
     """Process-local handle on one shard slab."""
 
     __slots__ = ("index", "header_offset", "log_offset", "log_capacity",
                  "lock", "kf_index", "mp_index", "scanned", "epoch",
                  "writes", "reads")
 
-    def __init__(self, index: int, layout: ShmMapLayout,
-                 lock: ProcessRWLock) -> None:
+    def __init__(self, index: int, layout: ShmMapLayout, lock) -> None:
         self.index = index
         self.header_offset = layout.shard_offset(index)
         self.log_offset = self.header_offset + HEADER_BYTES
@@ -314,33 +429,50 @@ class ShmStoreHandle:
 
 
 class ShmShardedMapStore:
-    """Cross-process :class:`~repro.sharedmem.sharding.ShardedMapStore`.
+    """Region-sharded, log-structured store of the global map's records.
 
-    Same public surface (put/get/remove, ``publish_map``, ordered
-    ``write_transaction``, ``stats``/``shard_stats``) but every byte of
-    state that must be shared — payload records, allocator cursors,
-    lock words, the packed map matrices — lives in one named shared
-    segment that any number of worker processes attach.
+    Put/get/remove, ``publish_map``, the ordered multi-shard
+    ``write_transaction`` used by merges, compaction and
+    ``stats``/``shard_stats``.  The constructor builds the heap backing
+    (``capacity // n_shards`` bytes per shard); :meth:`create` and
+    :meth:`attach` build the shared-memory backing.  Every method past
+    construction is the same for both: locks are used only through the
+    surface :class:`RWLock` and :class:`ProcessRWLock` share.
     """
 
-    def __init__(self, region: SharedMemoryRegion, layout: ShmMapLayout,
-                 pack_lock: ProcessRWLock,
-                 shard_locks: Sequence[ProcessRWLock],
-                 owner: bool) -> None:
+    def __init__(
+        self,
+        n_shards: int = 8,
+        capacity: int = DEFAULT_CAPACITY,
+        region_size: float = 8.0,
+    ) -> None:
+        _check_shape(n_shards, region_size)
+        layout = ShmMapLayout(
+            n_shards=n_shards,
+            shard_slab_bytes=max(capacity // n_shards, 1024) & ~7,
+            region_size=region_size,
+        )
+        region = _HeapRegion(layout.total_bytes)
+        layout.format(region.buffer)
+        self._open(region, layout, RWLock(),
+                   [RWLock() for _ in range(n_shards)])
+
+    def _open(self, region, layout: ShmMapLayout, pack_lock,
+              shard_locks: Sequence, bound_locks: Sequence = ()) -> None:
         if len(shard_locks) != layout.n_shards:
             raise ValueError("one lock per shard required")
         self.region = region
         self.layout = layout
         self.n_shards = layout.n_shards
         self.region_size = layout.region_size
-        buf = region.buffer
-        pack_lock.bind(buf, layout.pack_offset + _LOCK_WORD_OFFSET)
-        self.pack = SharedMapPack(buf, layout, pack_lock)
-        self.shards: List[_ShmShard] = []
-        for i, lock in enumerate(shard_locks):
-            lock.bind(buf, layout.shard_offset(i) + _LOCK_WORD_OFFSET)
-            self.shards.append(_ShmShard(i, layout, lock))
-        self._owner = owner
+        self.pack = SharedMapPack(region.buffer, layout, pack_lock)
+        self.shards: List[_Shard] = [
+            _Shard(i, layout, lock) for i, lock in enumerate(shard_locks)
+        ]
+        # Locks whose lock words live in the region (shm backing only).
+        self._bound_locks = list(bound_locks)
+        # Sticky routing: entity id -> shard index, learned from writes
+        # and from scanning the shard logs.
         self._kf_shard: Dict[int, int] = {}
         self._mp_shard: Dict[int, int] = {}
 
@@ -356,27 +488,18 @@ class ShmShardedMapStore:
         name: Optional[str] = None,
         lock_timeout_s: Optional[float] = None,
     ) -> "ShmShardedMapStore":
-        """Allocate the segment and initialize headers (orchestrator)."""
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        if region_size <= 0:
-            raise ValueError("region_size must be positive")
+        """Allocate a named segment and initialize headers (orchestrator)."""
+        _check_shape(n_shards, region_size)
         ctx = ctx if ctx is not None else mp.get_context()
         layout = ShmMapLayout(
             n_shards=n_shards, pack_capacity=pack_capacity,
             shard_slab_bytes=shard_slab_bytes, region_size=region_size,
         )
         region = SharedMemoryRegion(name=name, size=layout.total_bytes)
-        buf = region.buffer
-        # Segments arrive zero-filled; only non-zero fields need writing.
-        layout.write_global_header(buf)
-        _SLAB_COUNTS.pack_into(buf, layout.pack_offset, 0, 0, pack_capacity)
-        pack_lock = ProcessRWLock(ctx=ctx, default_timeout=lock_timeout_s)
-        shard_locks = [
-            ProcessRWLock(ctx=ctx, default_timeout=lock_timeout_s)
-            for _ in range(n_shards)
-        ]
-        return cls(region, layout, pack_lock, shard_locks, owner=True)
+        layout.format(region.buffer)
+        locks = [ProcessRWLock(ctx=ctx, default_timeout=lock_timeout_s)
+                 for _ in range(n_shards + 1)]
+        return cls._over_segment(region, layout, locks[0], locks[1:])
 
     @classmethod
     def attach(cls, handle: ShmStoreHandle) -> "ShmShardedMapStore":
@@ -389,11 +512,26 @@ class ShmShardedMapStore:
         """
         region = SharedMemoryRegion(name=handle.segment_name, create=False)
         layout = ShmMapLayout.from_global_header(region.buffer)
-        return cls(region, layout, handle.pack_lock.clone(),
-                   [lk.clone() for lk in handle.shard_locks],
-                   owner=False)
+        return cls._over_segment(region, layout, handle.pack_lock.clone(),
+                                 [lk.clone() for lk in handle.shard_locks])
+
+    @classmethod
+    def _over_segment(cls, region: SharedMemoryRegion, layout: ShmMapLayout,
+                      pack_lock: ProcessRWLock,
+                      shard_locks: Sequence[ProcessRWLock]) -> "ShmShardedMapStore":
+        """Bind each lock to its word in the segment headers and open."""
+        buf = region.buffer
+        pack_lock.bind(buf, layout.pack_offset + _LOCK_WORD_OFFSET)
+        for i, lock in enumerate(shard_locks):
+            lock.bind(buf, layout.shard_offset(i) + _LOCK_WORD_OFFSET)
+        store = cls.__new__(cls)
+        store._open(region, layout, pack_lock, shard_locks,
+                    bound_locks=[pack_lock, *shard_locks])
+        return store
 
     def handle(self) -> ShmStoreHandle:
+        if self.region.name is None:
+            raise ValueError("a heap-backed store cannot be attached")
         return ShmStoreHandle(
             segment_name=self.region.name,
             layout=self.layout,
@@ -402,10 +540,9 @@ class ShmShardedMapStore:
         )
 
     def close(self) -> None:
-        """Detach: drop numpy/lock views, then close the mapping."""
-        self.pack.lock.unbind()
-        for shard in self.shards:
-            shard.lock.unbind()
+        """Detach: drop numpy/lock views, then close the backing."""
+        for lock in self._bound_locks:
+            lock.unbind()
         self.pack.positions = self.pack.descriptors = None
         self.pack.point_ids = None
         self.pack._buf = None
@@ -422,17 +559,17 @@ class ShmShardedMapStore:
         self.unlink()
 
     # ------------------------------------------------------------ headers
-    def _shard_counts(self, shard: _ShmShard) -> Tuple[int, int, int]:
+    def _shard_counts(self, shard: _Shard) -> Tuple[int, int, int]:
         return _SLAB_COUNTS.unpack_from(self.region.buffer,
                                         shard.header_offset)
 
-    def _set_shard_counts(self, shard: _ShmShard, bytes_used: int,
+    def _set_shard_counts(self, shard: _Shard, bytes_used: int,
                           n_records: int, version: int) -> None:
         _SLAB_COUNTS.pack_into(self.region.buffer, shard.header_offset,
                                bytes_used, n_records, version)
 
     # ----------------------------------------------------------- indexing
-    def _refresh_locked(self, shard: _ShmShard) -> None:
+    def _refresh_locked(self, shard: _Shard) -> None:
         """Index log records appended since our last scan.
 
         Caller holds the shard's read or write lock, so ``bytes_used``
@@ -484,17 +621,26 @@ class ShmShardedMapStore:
             cursor = payload + _align8(size)
         shard.scanned = bytes_used
 
-    def _append_locked(self, shard: _ShmShard, kind: int, entity_id: int,
+    def _append_locked(self, shard: _Shard, kind: int, entity_id: int,
                        size: int) -> memoryview:
         """Reserve one log record under the held write lock; returns the
-        payload view to pack into."""
+        payload view to pack into.
+
+        A full log is compacted in place (the caller's write lock and
+        refreshed index are all compaction needs) before the retry; only
+        a log whose live records alone leave no room raises.
+        """
         bytes_used, n_records, version = self._shard_counts(shard)
         need = _RECORD_PREFIX.size + _align8(size)
         if bytes_used + need > shard.log_capacity:
-            raise ArenaError(
-                f"shard {shard.index} arena exhausted: need {need} bytes, "
-                f"{shard.log_capacity - bytes_used} free"
-            )
+            _count_compaction(self._compact_locked(shard))
+            bytes_used, n_records, version = self._shard_counts(shard)
+            if bytes_used + need > shard.log_capacity:
+                raise ArenaError(
+                    f"shard {shard.index} arena exhausted: need {need} "
+                    f"bytes, {shard.log_capacity - bytes_used} free after "
+                    f"compaction"
+                )
         buf = self.region.buffer
         record = shard.log_offset + bytes_used
         _RECORD_PREFIX.pack_into(buf, record, kind, 0, entity_id, size)
@@ -528,9 +674,15 @@ class ShmShardedMapStore:
         """Hold the write locks of ``shard_indices`` in ascending shard
         order — the same global order every attached process uses, which
         keeps interleaved multi-shard writers deadlock-free across
-        process boundaries exactly as it does across threads."""
+        process boundaries exactly as it does across threads.
+
+        ``trace`` (a frame's :class:`~repro.obs.TraceContext`) attaches
+        the acquisition as a ``sharedmem.lock_wait`` wall span to that
+        frame's lifecycle, so contended shard locks show up in the
+        per-frame waterfall.
+        """
         ordered = sorted(set(shard_indices))
-        acquired: List[_ShmShard] = []
+        acquired: List[_Shard] = []
         try:
             with _tracer.child_span(
                 trace, "sharedmem.lock_wait", n_shards=len(ordered)
@@ -550,7 +702,7 @@ class ShmShardedMapStore:
                 shard.lock.release_write()
 
     # ------------------------------------------------------------- writes
-    def _put_keyframe_locked(self, shard: _ShmShard, kf: KeyFrame) -> int:
+    def _put_keyframe_locked(self, shard: _Shard, kf: KeyFrame) -> int:
         size = keyframe_record_size(len(kf), len(kf.bow_vector))
         view = self._append_locked(shard, KIND_KEYFRAME, kf.keyframe_id, size)
         write_keyframe_record(view, kf)
@@ -559,7 +711,7 @@ class ShmShardedMapStore:
         self._kf_shard[kf.keyframe_id] = shard.index
         return size
 
-    def _put_mappoint_locked(self, shard: _ShmShard, point: MapPoint) -> int:
+    def _put_mappoint_locked(self, shard: _Shard, point: MapPoint) -> int:
         size = mappoint_record_size(len(point.observations))
         view = self._append_locked(shard, KIND_MAPPOINT, point.point_id, size)
         write_mappoint_record(view, point)
@@ -622,11 +774,12 @@ class ShmShardedMapStore:
             self._refresh_locked(shard)
             index = (shard.kf_index if kind == KIND_KEYFRAME_REMOVE
                      else shard.mp_index)
-            if entity_id not in index:
+            if index.pop(entity_id, None) is None:
                 return
-            self._append_locked(shard, kind, entity_id, 0)
-            index.pop(entity_id, None)
             sticky.pop(entity_id, None)
+            # Out of the index first: a compaction the tombstone's append
+            # triggers already leaves the removed record behind.
+            self._append_locked(shard, kind, entity_id, 0)
 
     # -------------------------------------------------------------- reads
     def _refresh_all_read(self) -> None:
@@ -688,9 +841,15 @@ class ShmShardedMapStore:
 
     # ---------------------------------------------------------- bulk sync
     def publish_map(self, keyframes, mappoints, trace=None) -> int:
-        """Write one client's map-update batch atomically w.r.t. other
-        multi-shard writers (ascending-order locks, as in the threaded
-        store — the discipline now spans process boundaries)."""
+        """Write one client's map-update batch.
+
+        Entities are grouped by destination shard; all involved shards
+        are write-locked together (ascending order) so the batch lands
+        atomically with respect to other multi-shard writers, in this
+        process or another — the same locking discipline an Alg.-2
+        merge uses.  ``trace`` joins the publish (and its nested lock
+        wait) to a frame's lifecycle trace.
+        """
         keyframes = list(keyframes)
         mappoints = list(mappoints)
         by_shard: Dict[int, tuple] = {}
@@ -715,10 +874,13 @@ class ShmShardedMapStore:
         if _metrics.enabled:
             _publishes_total.inc()
             _publish_bytes.inc(total)
+            _shards_per_write.record(len(by_shard))
+            if len(by_shard) > 1:
+                _multi_shard_writes.inc()
         return total
 
     # --------------------------------------------------------- compaction
-    def _compact_locked(self, shard: _ShmShard) -> int:
+    def _compact_locked(self, shard: _Shard) -> int:
         """Rewrite the shard's live records from the log start.
 
         Caller holds the shard's write lock and has refreshed its index
@@ -775,9 +937,7 @@ class ShmShardedMapStore:
         with self.write_transaction(indices, trace=trace) as ordered:
             for idx in ordered:
                 reclaimed += self._compact_locked(self.shards[idx])
-        if _metrics.enabled:
-            _compactions_total.inc()
-            _reclaimed_bytes.inc(reclaimed)
+        _count_compaction(reclaimed)
         return reclaimed
 
     def maybe_compact(self, utilization: float = 0.6, trace=None) -> int:
@@ -855,3 +1015,7 @@ class ShmShardedMapStore:
         self.pack.lock.fold_metrics(snapshot.get("pack", {}))
         for shard, snap in zip(self.shards, snapshot.get("shards", [])):
             shard.lock.fold_metrics(snap)
+
+
+# The store's name on the single-process serving path: the same class.
+ShardedMapStore = ShmShardedMapStore

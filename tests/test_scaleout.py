@@ -27,6 +27,7 @@ from repro.sharedmem import (
     write_mappoint_record,
 )
 from tests.test_net_serialization_transport import make_map
+from tests.test_shm_multiproc import SHM_AVAILABLE
 
 
 def _sharded(n_shards=8, capacity=8 * 1024 * 1024, region=8.0):
@@ -92,6 +93,7 @@ class TestSpatialSharding:
         store.put_keyframe(kf)
         store.remove_keyframe(kf.keyframe_id)
         assert store.get_keyframe(kf.keyframe_id) is None
+        store.compact()
         assert store.stats().arena.allocated == 0
 
     def test_publish_map_spans_shards(self):
@@ -475,27 +477,34 @@ class TestSessionScaleOut:
 
     def test_shard_count_changes_neither_poses_nor_snapshot(self, tmp_path):
         """The serving path never reads the store, so a one-shard and an
-        eight-shard store must track identically and persist the same
-        records."""
+        eight-shard store, on either byte backing, must track identically
+        and persist the same records."""
+        inputs = [(1, "local"), (8, "local")]
+        if SHM_AVAILABLE:
+            inputs.append((8, "shm"))
         runs = {}
-        for n_shards in (1, 8):
-            path = str(tmp_path / f"shards-{n_shards}.snap")
+        for n_shards, backend in inputs:
+            path = str(tmp_path / f"shards-{n_shards}-{backend}.snap")
             config = SlamShareConfig(
                 render_video_frames=False,
                 serving=ServingConfig(map_shards=n_shards,
+                                      store_backend=backend,
                                       snapshot_path=path),
             )
-            result = SlamShareSession(self._scenarios(), config=config).run()
-            runs[n_shards] = (result.server.client_trajectory(0),
-                              load_snapshot(path))
-        (traj_1, snap_1), (traj_8, snap_8) = runs[1], runs[8]
+            with SlamShareSession(self._scenarios(), config=config) as session:
+                result = session.run()
+                runs[n_shards, backend] = (result.server.client_trajectory(0),
+                                           load_snapshot(path))
+        traj_1, snap_1 = runs[1, "local"]
         assert len(traj_1) > 0
-        np.testing.assert_array_equal(traj_1.timestamps, traj_8.timestamps)
-        np.testing.assert_array_equal(traj_1.positions, traj_8.positions)
-        np.testing.assert_array_equal(traj_1.orientations, traj_8.orientations)
-        assert snap_1.info.n_shards == 1 and snap_8.info.n_shards == 8
-        assert snap_1.keyframes
-        assert _record_bytes(snap_1) == _record_bytes(snap_8)
+        assert snap_1.info.n_shards == 1 and snap_1.keyframes
+        for (n_shards, _), (traj, snap) in runs.items():
+            np.testing.assert_array_equal(traj_1.timestamps, traj.timestamps)
+            np.testing.assert_array_equal(traj_1.positions, traj.positions)
+            np.testing.assert_array_equal(traj_1.orientations,
+                                          traj.orientations)
+            assert snap.info.n_shards == n_shards
+            assert _record_bytes(snap) == _record_bytes(snap_1)
 
     def test_session_sheds_stale_frames_and_bridges_gaps(self):
         # stale_ms=0 sheds every delivered frame: degenerate by design,

@@ -15,7 +15,6 @@ import pytest
 
 from repro.geometry import SE3
 from repro.sharedmem import (
-    Arena,
     ProcessRWLock,
     SharedMemoryRegion,
     ShmMapLayout,
@@ -48,8 +47,9 @@ def _mp_ctx():
     return None
 
 
+SHM_AVAILABLE = _shm_available()
 shm_required = pytest.mark.skipif(
-    not _shm_available(), reason="OS shared memory unavailable"
+    not SHM_AVAILABLE, reason="OS shared memory unavailable"
 )
 
 
@@ -120,18 +120,6 @@ class TestRegionLifetime:
             region.buffer[0] = 7
         with pytest.raises(FileNotFoundError):
             SharedMemoryRegion(name=name, create=False)
-
-    def test_arena_over_shm_buffer(self):
-        with SharedMemoryRegion(size=4096) as region:
-            arena = Arena(region.buffer)
-            off = arena.alloc(100)
-            view = arena.view(off, 100)
-            view[:] = bytes(range(100))
-            assert bytes(arena.view(off, 100)) == bytes(range(100))
-            # Release every exported view before the region unmaps.
-            view.release()
-            arena.buffer.release()
-            del view, arena
 
 
 # ------------------------------------------------------------------ prwlock
